@@ -229,8 +229,9 @@ class Cache:
     The per-access API (:meth:`access`, :meth:`flush`) is used by the
     hierarchy and by the timing model; :meth:`simulate` runs a whole
     :class:`MemTrace`, automatically preparing oracle replacement policies
-    and taking a vectorized fast path for the common direct-mapped
-    write-back/write-allocate configuration.
+    and dispatching to the vector kernels of :mod:`repro.mem.engines`
+    (among them the fast path for the common direct-mapped
+    write-back/write-allocate configuration).
     """
 
     def __init__(
@@ -585,86 +586,5 @@ class Cache:
             traffic_bytes=stats.total_traffic_bytes,
         )
 
-    def _fast_path_eligible(self) -> bool:
-        config = self.config
-        return (
-            self.listener is None
-            and config.associativity == 1
-            and config.write_policy is WritePolicy.WRITEBACK
-            and config.allocate is AllocatePolicy.WRITE_ALLOCATE
-            and config.replacement in ("lru", "fifo", "random")
-        )
-
     def __repr__(self) -> str:
         return f"<Cache {self.config.describe()}>"
-
-
-def _simulate_direct_mapped_writeback(
-    config: CacheConfig, trace: MemTrace, flush: bool
-) -> CacheStats:
-    """Vectorized exact simulation of a direct-mapped WB/WA cache.
-
-    In a direct-mapped cache each set holds one block, so a reference hits
-    iff the previous reference to its set touched the same block. Grouping
-    references by set turns the whole simulation into array comparisons;
-    property tests assert byte-exact agreement with the general path.
-    """
-    n = len(trace)
-    stats = CacheStats(
-        accesses=n,
-        reads=trace.read_count,
-        writes=trace.write_count,
-    )
-    if n == 0:
-        return stats
-    blocks = trace.addresses // config.block_bytes
-    sets = blocks % config.num_sets
-    writes = trace.is_write
-
-    order = np.argsort(sets, kind="stable")
-    sorted_sets = sets[order]
-    sorted_blocks = blocks[order]
-    sorted_writes = writes[order]
-
-    same_set = np.empty(n, dtype=bool)
-    same_set[0] = False
-    same_set[1:] = sorted_sets[1:] == sorted_sets[:-1]
-    same_block = np.empty(n, dtype=bool)
-    same_block[0] = False
-    same_block[1:] = sorted_blocks[1:] == sorted_blocks[:-1]
-    hit = same_set & same_block
-    miss = ~hit
-
-    stats.read_hits = int(np.sum(hit & ~sorted_writes))
-    stats.write_hits = int(np.sum(hit & sorted_writes))
-    stats.fetch_bytes = int(miss.sum()) * config.block_bytes
-
-    # A residency run is a maximal streak of hits after a miss; the run is
-    # written back when its block is evicted (the next miss in the set) or
-    # at the final flush. Either way every dirty run costs one block.
-    run_id = np.cumsum(miss) - 1
-    dirty_runs = np.zeros(int(run_id[-1]) + 1, dtype=bool)
-    np.logical_or.at(dirty_runs, run_id[sorted_writes], True)
-    dirty_total = int(dirty_runs.sum()) * config.block_bytes
-
-    if flush:
-        # Last run of each set is flushed, earlier runs are evictions; both
-        # are counted, only the bucket differs.
-        last_of_set = np.zeros(int(run_id[-1]) + 1, dtype=bool)
-        set_change = np.empty(n, dtype=bool)
-        set_change[:-1] = sorted_sets[1:] != sorted_sets[:-1]
-        set_change[-1] = True
-        last_of_set[run_id[set_change]] = True
-        flushed = int(np.sum(dirty_runs & last_of_set)) * config.block_bytes
-        stats.flush_writeback_bytes = flushed
-        stats.writeback_bytes = dirty_total - flushed
-    else:
-        last_of_set = np.zeros(int(run_id[-1]) + 1, dtype=bool)
-        set_change = np.empty(n, dtype=bool)
-        set_change[:-1] = sorted_sets[1:] != sorted_sets[:-1]
-        set_change[-1] = True
-        last_of_set[run_id[set_change]] = True
-        stats.writeback_bytes = (
-            dirty_total - int(np.sum(dirty_runs & last_of_set)) * config.block_bytes
-        )
-    return stats

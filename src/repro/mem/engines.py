@@ -17,6 +17,11 @@ them to exact equality):
   with a vectorized next-use pass and batched hit accounting: runs of
   hits between misses are counted with array reductions, and only the
   misses (where the lazy victim heap is consulted) run in Python.
+* :func:`_dm_stats_from_order` — the one direct-mapped write-back/
+  write-allocate kernel: after one stable sort by set, a reference hits
+  iff the previous reference to its set touched the same block.
+  ``Cache.simulate`` reaches it through :func:`dispatch_cache`, and
+  :func:`direct_mapped_family` runs it once per swept size.
 * :func:`direct_mapped_family` / :func:`fully_associative_lru_family` —
   one-pass multi-size sweeps. The direct-mapped family shares one stable
   sort across the whole size axis (each doubling refines the previous
@@ -55,7 +60,6 @@ from repro.mem.cache import (
     CacheConfig,
     CacheStats,
     WritePolicy,
-    _simulate_direct_mapped_writeback,
 )
 from repro.mem.mtc import MTCConfig
 from repro.mem.policies import NEVER, compute_next_use
@@ -211,7 +215,11 @@ def dispatch_cache(
     loop.
     """
     if _dm_fast_eligible(config, listener):
-        return _simulate_direct_mapped_writeback(config, trace, flush)
+        if len(trace) == 0:
+            return CacheStats()
+        blocks = trace.addresses // config.block_bytes
+        order = np.argsort(blocks % config.num_sets, kind="stable")
+        return _dm_stats_from_order(config, blocks, order, trace, flush)
     reason = cache_vector_reason(config, listener)
     if reason is not None:
         if selection == "vector":
@@ -507,8 +515,9 @@ def direct_mapped_family(
     refines the permutation with a single stable bit partition (an LSD
     radix step), which reproduces ``np.argsort(blocks % sets, stable)``
     for that size exactly — so every per-size result is bit-identical to
-    :func:`~repro.mem.cache._simulate_direct_mapped_writeback` while the
-    O(n log n) sort is paid once for the whole axis.
+    a single-size ``Cache.simulate`` (which runs the same kernel,
+    :func:`_dm_stats_from_order`, on that sort) while the O(n log n) sort
+    is paid once for the whole axis.
     """
     results: dict[int, CacheStats] = {}
     if not sizes_bytes:
@@ -519,7 +528,6 @@ def direct_mapped_family(
         CacheConfig(size_bytes=size, block_bytes=block_bytes)
     n = len(trace)
     blocks = trace.addresses // block_bytes
-    writes = trace.is_write
     order: np.ndarray | None = None
     bits_done = 0
     for size in sorted(set(sizes_bytes)):
@@ -537,7 +545,7 @@ def direct_mapped_family(
         bits_done = bits
         config = CacheConfig(size_bytes=size, block_bytes=block_bytes)
         results[size] = _dm_stats_from_order(
-            config, blocks, writes, order, trace, flush
+            config, blocks, order, trace, flush
         )
     _record_family("direct-mapped", trace, results, started)
     return results
@@ -546,16 +554,18 @@ def direct_mapped_family(
 def _dm_stats_from_order(
     config: CacheConfig,
     blocks: np.ndarray,
-    writes: np.ndarray,
     order: np.ndarray,
     trace: MemTrace,
     flush: bool,
 ) -> CacheStats:
-    """Direct-mapped WB/WA stats given the set-grouped permutation.
+    """Exact direct-mapped WB/WA stats given the set-grouped permutation.
 
-    Mirrors ``_simulate_direct_mapped_writeback`` step for step; the
-    differential suite pins the two to exact equality on every size of
-    random sweeps so they cannot drift apart.
+    The library's one direct-mapped kernel. Each set holds one block, so
+    a reference hits iff the previous reference to its set touched the
+    same block: with references grouped by set (*order* is the stable
+    ``argsort`` of ``blocks % num_sets``) the whole simulation is array
+    comparisons. The differential suite pins it to the scalar
+    ``Cache.access`` loop.
     """
     n = blocks.size
     stats = CacheStats(
@@ -563,7 +573,7 @@ def _dm_stats_from_order(
     )
     sorted_blocks = blocks[order]
     sorted_sets = sorted_blocks % config.num_sets
-    sorted_writes = writes[order]
+    sorted_writes = trace.is_write[order]
 
     same_set = np.empty(n, dtype=bool)
     same_set[0] = False
@@ -578,22 +588,25 @@ def _dm_stats_from_order(
     stats.write_hits = int(np.sum(hit & sorted_writes))
     stats.fetch_bytes = int(miss.sum()) * config.block_bytes
 
+    # A residency run is a maximal streak of hits after a miss; the run is
+    # written back when its block is evicted (the next miss in the set) or
+    # at the final flush. Either way every dirty run costs one block.
     run_id = np.cumsum(miss) - 1
     dirty_runs = np.zeros(int(run_id[-1]) + 1, dtype=bool)
     np.logical_or.at(dirty_runs, run_id[sorted_writes], True)
     dirty_total = int(dirty_runs.sum()) * config.block_bytes
 
+    # The last run of each set is still resident at the end: flushed, or
+    # (without a flush) never written back.
     last_of_set = np.zeros(int(run_id[-1]) + 1, dtype=bool)
     set_change = np.empty(n, dtype=bool)
     set_change[:-1] = sorted_sets[1:] != sorted_sets[:-1]
     set_change[-1] = True
     last_of_set[run_id[set_change]] = True
     flushed = int(np.sum(dirty_runs & last_of_set)) * config.block_bytes
+    stats.writeback_bytes = dirty_total - flushed
     if flush:
         stats.flush_writeback_bytes = flushed
-        stats.writeback_bytes = dirty_total - flushed
-    else:
-        stats.writeback_bytes = dirty_total - flushed
     return stats
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.mem.cache import Cache, CacheConfig, CacheStats
 from repro.trace.model import MemTrace
+from repro.trace.synth import TENANT_WINDOW_BYTES, round_robin
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,31 +53,6 @@ class InterferenceReport:
         return self.shared_misses / self.solo_misses
 
 
-def _interleave(traces: Sequence[MemTrace], quantum: int) -> MemTrace:
-    """Round-robin the traces in quantum-sized slices, with disjoint
-    address spaces (threads do not share data)."""
-    offset_step = 1 << 30
-    parts_addr = []
-    parts_write = []
-    cursors = [0] * len(traces)
-    live = set(range(len(traces)))
-    while live:
-        for index in sorted(live):
-            trace = traces[index]
-            start = cursors[index]
-            stop = min(start + quantum, len(trace))
-            parts_addr.append(
-                trace.addresses[start:stop] + index * offset_step
-            )
-            parts_write.append(trace.is_write[start:stop])
-            cursors[index] = stop
-            if stop >= len(trace):
-                live.discard(index)
-    return MemTrace(
-        np.concatenate(parts_addr), np.concatenate(parts_write), name="shared"
-    )
-
-
 def multithreaded_traffic(
     traces: Sequence[MemTrace],
     *,
@@ -98,8 +74,17 @@ def multithreaded_traffic(
         solo_traffic += stats.total_traffic_bytes
         solo_misses += stats.misses
 
+    # Threads do not share data: each runs in its own address window.
+    addresses, writes, owner = round_robin(
+        [(trace.addresses, trace.is_write) for trace in traces],
+        [quantum] * len(traces),
+    )
     shared: CacheStats = Cache(cache_config).simulate(
-        _interleave(traces, quantum)
+        MemTrace(
+            addresses + owner.astype(np.int64) * TENANT_WINDOW_BYTES,
+            writes,
+            name="shared",
+        )
     )
     return InterferenceReport(
         thread_names=tuple(t.name for t in traces),

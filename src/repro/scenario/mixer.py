@@ -1,12 +1,13 @@
 """Deterministic N-tenant trace mixing with per-tenant attribution.
 
-Generalises :func:`repro.mem.interference._interleave` (two-or-more
-equal threads, fixed quantum) to weighted tenants: each round of the
-interleave advances tenant *i* by ``quantum x weight_i`` references, in
-spec order, until every tenant's stream is exhausted. Tenants occupy
-disjoint 1 GB address windows — tenants do not share data, they share
-the *hierarchy* — which is also what makes attribution exact: every
-byte moved below the cache names its tenant in its address.
+Weighted tenants on :func:`repro.trace.synth.round_robin`, the same
+interleave that shares a cache between threads in
+:mod:`repro.mem.interference`: each round advances tenant *i* by
+``quantum x weight_i`` references, in spec order, until every tenant's
+stream is exhausted. Tenants occupy disjoint 1 GB address windows
+(:data:`~repro.trace.synth.TENANT_WINDOW_BYTES`) — tenants do not share
+data, they share the *hierarchy* — which is also what makes attribution
+exact: every byte moved below the cache names its tenant in its address.
 
 :func:`mix` renders a whole scenario into one :class:`MixedTrace`
 (the shared trace plus a per-reference tenant-id array), and
@@ -25,9 +26,9 @@ import numpy as np
 from repro.errors import ScenarioError
 from repro.mem.cache import Cache, CacheConfig
 from repro.scenario.patterns import build_pattern
-from repro.scenario.spec import MAX_FOOTPRINT_BYTES, ScenarioSpec
+from repro.scenario.spec import ScenarioSpec
 from repro.trace.model import MemTrace
-from repro.trace.synth import StreamPair
+from repro.trace.synth import TENANT_WINDOW_BYTES, StreamPair, round_robin
 
 __all__ = [
     "MixedTrace",
@@ -37,9 +38,6 @@ __all__ = [
     "interleave_weighted",
     "attribute_traffic",
 ]
-
-#: Per-tenant address window (matches repro.mem.interference).
-OFFSET_STEP = MAX_FOOTPRINT_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +55,7 @@ class MixedTrace:
         """One tenant's references, in issue order, window offset removed."""
         mask = self.tenant_ids == index
         return MemTrace(
-            self.trace.addresses[mask] - index * OFFSET_STEP,
+            self.trace.addresses[mask] - index * TENANT_WINDOW_BYTES,
             self.trace.is_write[mask],
             name=self.tenant_names[index],
         )
@@ -84,28 +82,15 @@ def interleave_weighted(
         )
     if quantum <= 0:
         raise ScenarioError(f"quantum must be positive, got {quantum}")
-    addr_parts: list[np.ndarray] = []
-    write_parts: list[np.ndarray] = []
-    id_parts: list[np.ndarray] = []
-    cursors = [0] * len(streams)
-    live = set(range(len(streams)))
-    while live:
-        for index in sorted(live):
-            addresses, writes = streams[index]
-            start = cursors[index]
-            stop = min(start + quantum * weights[index], addresses.size)
-            addr_parts.append(addresses[start:stop] + index * OFFSET_STEP)
-            write_parts.append(writes[start:stop])
-            id_parts.append(
-                np.full(stop - start, index, dtype=np.int16)
-            )
-            cursors[index] = stop
-            if stop >= addresses.size:
-                live.discard(index)
+    if min(weights) <= 0:
+        raise ScenarioError(f"weights must be positive, got {list(weights)}")
+    addresses, writes, tenant_ids = round_robin(
+        streams, [quantum * weight for weight in weights]
+    )
     return (
-        np.concatenate(addr_parts),
-        np.concatenate(write_parts),
-        np.concatenate(id_parts),
+        addresses + tenant_ids.astype(np.int64) * TENANT_WINDOW_BYTES,
+        writes,
+        tenant_ids,
     )
 
 
@@ -222,7 +207,7 @@ def attribute_traffic(
 
     def listener(kind: str, address: int, nbytes: int) -> None:
         del kind
-        traffic[address // OFFSET_STEP] += nbytes
+        traffic[address // TENANT_WINDOW_BYTES] += nbytes
 
     cache = Cache(config, listener=listener)
     ids = mixed.tenant_ids.tolist()

@@ -43,6 +43,7 @@ from repro.errors import ConfigurationError, ScenarioError
 from repro.exec.keys import canonical_key, stable_hash
 from repro.scenario.patterns import canonical_pattern
 from repro.trace.model import WORD_BYTES
+from repro.trace.synth import TENANT_WINDOW_BYTES
 from repro.util import parse_size
 
 __all__ = [
@@ -67,9 +68,9 @@ SCENARIO_DEFAULTS = {
     "seed": 0,
 }
 
-#: Tenants get disjoint 1 GB address windows when mixed (matching
-#: :mod:`repro.mem.interference`), so a footprint must fit one window.
-MAX_FOOTPRINT_BYTES = 1 << 30
+#: Tenants get disjoint 1 GB address windows when mixed, so a footprint
+#: must fit one window.
+MAX_FOOTPRINT_BYTES = TENANT_WINDOW_BYTES
 
 MAX_TENANTS = 32
 MAX_WEIGHT = 1024

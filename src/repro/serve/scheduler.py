@@ -2,8 +2,11 @@
 
 One asyncio task owns the loop: wait until work is queued, drain up to
 ``max_inflight`` jobs, and hand the batch to
-:func:`repro.exec.run_tasks` on a worker thread (so the event loop keeps
-serving HTTP while simulations run). ``run_tasks`` brings everything the
+:func:`repro.exec.run_tasks` on the scheduler's one worker thread (so the
+event loop keeps serving HTTP while simulations run). Batches are
+awaited one at a time, so one thread serves them all; it also keeps
+every job on one malloc arena, which keeps the server's peak memory
+steady from run to run. ``run_tasks`` brings everything the
 execution layer already guarantees — process-pool fan-out across
 ``jobs`` workers, content-addressed result caching, the PR-4 retry
 ladder, worker-crash recovery — so the serve layer adds no second
@@ -22,7 +25,8 @@ resume semantics.
 Shutdown: :meth:`Scheduler.stop` lets the *current* batch drain to
 completion (its results reach clients and the cache journal), then
 cancels jobs still waiting in the admission queue — they never started,
-so cancelling loses nothing a resubmission cannot recover.
+so cancelling loses nothing a resubmission cannot recover — and shuts
+the worker thread down.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import asyncio
 import functools
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import RunInterrupted, TaskError
 from repro.obs import OBS, TRACER
@@ -80,6 +85,10 @@ class Scheduler:
         self._wakeup = asyncio.Event()
         self._stopping = False
         self._requeues: dict[str, int] = {}
+        #: Runs every batch; shut down when :meth:`run` returns.
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-serve-batch"
+        )
 
     # -- control (called from the server) ----------------------------------------
 
@@ -102,6 +111,12 @@ class Scheduler:
     async def run(self) -> int:
         """Serve batches until stopped; returns jobs drained in-flight
         after the stop request (the number the shutdown banner reports)."""
+        try:
+            return await self._serve()
+        finally:
+            self._executor.shutdown(wait=False)
+
+    async def _serve(self) -> int:
         drained_after_stop = 0
         while True:
             while not self._stopping and len(self.queue) == 0:
@@ -169,7 +184,7 @@ class Scheduler:
         start = time.perf_counter()
         try:
             values = await loop.run_in_executor(
-                None,
+                self._executor,
                 functools.partial(
                     run_tasks,
                     tasks,

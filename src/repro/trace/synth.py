@@ -450,8 +450,74 @@ def merge_sort_passes(base: int, n_words: int) -> StreamPair:
     return np.concatenate(addr_parts), np.concatenate(write_parts)
 
 
+#: Address window per interleaved thread or scenario tenant: stream *i*
+#: of a shared trace is offset by ``i x TENANT_WINDOW_BYTES``, so streams
+#: never share data and every address names the stream that issued it.
+TENANT_WINDOW_BYTES = 1 << 30
+
+
+def round_robin(
+    streams: list[StreamPair], chunks: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interleave streams round-robin, ``chunks[i]`` references at a time.
+
+    Each round visits the streams in list order and takes the next
+    ``chunks[i]`` references of stream *i*; a stream that runs out simply
+    drops out of later rounds. Returns ``(addresses, is_write, owner)``,
+    where ``owner`` (int16) is the index of the stream each reference
+    came from. Equivalently: a stable sort of the concatenated streams on
+    ``(j // chunks[i], i)`` for reference *j* of stream *i*.
+
+    Loop-free over references. While every live stream can still fill
+    its chunk, the rounds form a regular grid (one row per round, one
+    column band per stream), filled with one strided copy per stream.
+    One ragged round follows, in which at least one stream runs out;
+    the survivors repeat the process, so there are at most
+    ``len(streams)`` grids.
+    """
+    if not streams:
+        raise WorkloadError("round_robin needs at least one stream")
+    if len(chunks) != len(streams):
+        raise WorkloadError(f"{len(streams)} streams but {len(chunks)} chunks")
+    if min(chunks) <= 0:
+        raise WorkloadError(f"chunks must be positive, got {list(chunks)}")
+    sizes = [s[0].size for s in streams]
+    total = sum(sizes)
+    addresses = np.empty(total, dtype=np.result_type(*(s[0] for s in streams)))
+    writes = np.empty(total, dtype=bool)
+    owner = np.empty(total, dtype=np.int16)
+    outputs = (addresses, writes)
+    cursors = [0] * len(streams)
+    live = [i for i, size in enumerate(sizes) if size]
+    out = 0
+    while live:
+        rounds = min((sizes[i] - cursors[i]) // chunks[i] for i in live)
+        period = sum(chunks[i] for i in live)
+        grid = slice(out, out + rounds * period)
+        column = 0
+        for i in live:
+            band = slice(column, column + chunks[i])
+            taken = slice(cursors[i], cursors[i] + rounds * chunks[i])
+            for output, source in zip(outputs, streams[i]):
+                output[grid].reshape(rounds, period)[:, band] = (
+                    source[taken].reshape(rounds, chunks[i])
+                )
+            owner[grid].reshape(rounds, period)[:, band] = i
+            cursors[i] = taken.stop
+            column = band.stop
+        out = grid.stop
+        for i in live:  # the ragged round
+            count = min(chunks[i], sizes[i] - cursors[i])
+            for output, source in zip(outputs, streams[i]):
+                output[out:out + count] = source[cursors[i]:cursors[i] + count]
+            owner[out:out + count] = i
+            cursors[i] += count
+            out += count
+        live = [i for i in live if cursors[i] < sizes[i]]
+    return addresses, writes, owner
+
+
 def interleave_streams(
-    rng: np.random.Generator,
     streams: list[StreamPair],
     *,
     chunk: int = 64,
@@ -474,22 +540,8 @@ def interleave_streams(
     chunk_sizes = [
         max(1, round(chunk * s[0].size / longest)) for s in streams
     ]
-    cursors = [0] * len(streams)
-    addr_parts: list[np.ndarray] = []
-    write_parts: list[np.ndarray] = []
-    live = set(range(len(streams)))
-    while live:
-        for stream_index in sorted(live):
-            addresses, writes = streams[stream_index]
-            start = cursors[stream_index]
-            stop = min(start + chunk_sizes[stream_index], addresses.size)
-            addr_parts.append(addresses[start:stop])
-            write_parts.append(writes[start:stop])
-            cursors[stream_index] = stop
-            if stop >= addresses.size:
-                live.discard(stream_index)
-    del rng  # reserved for future randomized interleaving
-    return np.concatenate(addr_parts), np.concatenate(write_parts)
+    addresses, writes, _ = round_robin(streams, chunk_sizes)
+    return addresses, writes
 
 
 def concat_streams(streams: list[StreamPair]) -> StreamPair:

@@ -87,5 +87,5 @@ class Compress(SyntheticWorkload):
             repeats=4,
         )
         return interleave_streams(
-            rng, [cold_probes, hot_probes, input_stream, output_stream], chunk=16
+            [cold_probes, hot_probes, input_stream, output_stream], chunk=16
         )

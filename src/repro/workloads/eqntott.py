@@ -108,5 +108,5 @@ class Eqntott(SyntheticWorkload):
             write_fraction=0.12,
         )
         return interleave_streams(
-            rng, [probes, stack, bits, output_writes], chunk=32
+            [probes, stack, bits, output_writes], chunk=32
         )

@@ -78,7 +78,7 @@ class Espresso(SyntheticWorkload):
             write_fraction=0.15,
         )
         return interleave_streams(
-            rng, [cover_loop, matrix_sweep, register_probes], chunk=64
+            [cover_loop, matrix_sweep, register_probes], chunk=64
         )
 
 

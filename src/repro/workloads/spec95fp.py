@@ -53,7 +53,7 @@ class _GridCode(SyntheticWorkload):
         field_phase = interleaved_sweep(
             bases, field_words, passes=passes, write_last_array=True
         )
-        return interleave_streams(rng, [grid_phase, field_phase], chunk=48)
+        return interleave_streams([grid_phase, field_phase], chunk=48)
 
 
 class Applu(_GridCode):
@@ -91,7 +91,7 @@ class Su2cor95(_GridCode):
         conflict = interleaved_sweep(
             [j * spacing for j in range(4)], field_words, passes=1
         )
-        return interleave_streams(rng, [base_stream, conflict], chunk=64)
+        return interleave_streams([base_stream, conflict], chunk=64)
 
 
 class Swim95(_GridCode):

@@ -51,7 +51,7 @@ class Li(SyntheticWorkload):
             alpha=1.3,
             write_fraction=0.4,
         )
-        return interleave_streams(rng, [cells, stack], chunk=20)
+        return interleave_streams([cells, stack], chunk=20)
 
 
 class Perl(SyntheticWorkload):
@@ -77,7 +77,7 @@ class Perl(SyntheticWorkload):
         string_base = (heap_words + 4096) * 4
         passes = max(1, int(total_refs * 0.45) // string_words)
         strings = sweep(string_base, string_words, passes=passes, write_every=5)
-        return interleave_streams(rng, [heap, strings], chunk=28)
+        return interleave_streams([heap, strings], chunk=28)
 
 
 class Vortex(SyntheticWorkload):
@@ -115,4 +115,4 @@ class Vortex(SyntheticWorkload):
         log_base = index_base + (index_words + 4096) * 4
         log_passes = max(1, int(total_refs * 0.15) // log_words)
         log_writes = sweep(log_base, log_words, passes=log_passes, write_every=1)
-        return interleave_streams(rng, [records, index, log_writes], chunk=28)
+        return interleave_streams([records, index, log_writes], chunk=28)

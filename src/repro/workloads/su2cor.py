@@ -69,4 +69,4 @@ class Su2cor(SyntheticWorkload):
         hot_base = self._ARRAYS * spacing + conflict_stride // 2
         hot_passes = max(2, int(total_refs * 0.28) // hot_words)
         hot = sweep(hot_base, hot_words, passes=hot_passes, write_every=4)
-        return interleave_streams(rng, [main_loop, hot], chunk=48)
+        return interleave_streams([main_loop, hot], chunk=48)

@@ -92,5 +92,5 @@ class Tomcatv(SyntheticWorkload):
             error_base, error_words, passes=error_passes, write_every=2
         )
         return interleave_streams(
-            rng, [tridiagonal, relaxation, residuals, errors], chunk=128
+            [tridiagonal, relaxation, residuals, errors], chunk=128
         )

@@ -11,6 +11,7 @@ from repro.mem.cache import (
     CacheStats,
     WritePolicy,
 )
+from repro.mem.engines import _dm_fast_eligible
 from repro.trace.model import MemTrace
 
 from conftest import make_trace
@@ -253,7 +254,8 @@ class TestFastPathEquivalence:
         config = CacheConfig(size_bytes=size, block_bytes=block)
         fast = Cache(config).simulate(trace)
         general_cache = Cache(config, listener=lambda *a: None)
-        assert not general_cache._fast_path_eligible()
+        assert _dm_fast_eligible(config, None)
+        assert not _dm_fast_eligible(config, general_cache.listener)
         general = general_cache.simulate(trace)
         for field in (
             "read_hits",

@@ -274,6 +274,10 @@ class TestInterference:
         with pytest.raises(ConfigurationError):
             multithreaded_traffic(self._traces(), quantum=0)
 
+    def test_negative_quantum_validated(self):
+        with pytest.raises(ConfigurationError, match="quantum"):
+            multithreaded_traffic(self._traces(), quantum=-5)
+
     def test_cmp_demand_scales_superlinearly(self):
         points = chip_multiprocessor_demand(1_000_000, 100_000, 300, 1e9)
         demands = [p.demand_mb_per_s for p in points]

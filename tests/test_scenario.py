@@ -20,7 +20,8 @@ from repro.scenario import (
     pattern_names,
     resolve_workload,
 )
-from repro.scenario.mixer import OFFSET_STEP, interleave_weighted
+from repro.scenario.mixer import interleave_weighted
+from repro.trace.synth import TENANT_WINDOW_BYTES
 from repro.workloads.registry import get_workload
 
 
@@ -193,8 +194,22 @@ class TestMixer:
         # Round 1: tenant 0 runs 4 refs (quantum*weight), tenant 1 runs 2.
         assert tenants.tolist() == [0, 0, 0, 0, 1, 1]
         assert addresses.tolist()[:4] == [0, 4, 8, 12]
-        assert addresses.tolist()[4] == OFFSET_STEP
+        assert addresses.tolist()[4] == TENANT_WINDOW_BYTES
         assert writes.tolist() == [False] * 4 + [True] * 2
+
+    @pytest.mark.parametrize("weights", [[0], [-1], [2, 0]])
+    def test_non_positive_weight_rejected(self, weights):
+        # A zero weight used to spin forever: its tenant never advanced.
+        streams = [
+            (np.arange(4, dtype=np.int64), np.zeros(4, dtype=bool))
+        ] * len(weights)
+        with pytest.raises(ScenarioError, match="weights must be positive"):
+            interleave_weighted(streams, quantum=2, weights=weights)
+
+    def test_non_positive_quantum_rejected(self):
+        stream = (np.arange(4, dtype=np.int64), np.zeros(4, dtype=bool))
+        with pytest.raises(ScenarioError, match="quantum"):
+            interleave_weighted([stream], quantum=-2, weights=[1])
 
     def test_mix_deterministic_and_seeded_by_spec(self):
         spec = ScenarioSpec.from_dict(MIX_SPEC)

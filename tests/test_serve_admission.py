@@ -1,6 +1,7 @@
 """Tests for admission control, the job table, and scheduler recovery."""
 
 import asyncio
+import threading
 
 import pytest
 
@@ -241,6 +242,30 @@ class TestSchedulerRecovery:
         assert table.get("a").state == DONE
         assert table.get("a").result == {"output": "a"}
         assert table.get("b").state == DONE
+
+    def test_batches_share_one_worker_thread(self, monkeypatch):
+        threads = []
+
+        def record_thread(request):
+            threads.append(threading.current_thread())
+            return {"output": request["workload"]}
+
+        monkeypatch.setattr("repro.serve.jobs.execute_request", record_thread)
+        queue = AdmissionQueue(4)
+        table = JobTable()
+        for name in ("first", "second"):
+            job = record(name)
+            table.resolve(job)
+            queue.offer(job)
+        # max_inflight=1: the two jobs run as two separate batches.
+        scheduler = run_scheduler_once(queue, table, max_inflight=1, jobs=1)
+        assert scheduler.drained_batches == 2
+        assert [t.ident for t in threads] == [threads[0].ident] * 2
+        # The scheduler's own thread, not one of asyncio's default pool.
+        assert threads[0].name.startswith("repro-serve-batch")
+        # Stopping the scheduler shuts its worker thread down.
+        threads[0].join(timeout=5)
+        assert not threads[0].is_alive()
 
     def test_poisoned_job_fails_alone(self, monkeypatch):
         def sometimes(request):

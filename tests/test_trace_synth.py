@@ -166,31 +166,54 @@ class TestKernels:
 
 
 class TestCombinators:
-    def test_interleave_preserves_stream_order(self, rng):
+    def test_interleave_preserves_stream_order(self):
         a = synth.sweep(0, 64)
         b = synth.sweep(10_000, 64)
-        addresses, _ = synth.interleave_streams(rng, [a, b], chunk=8)
+        addresses, _ = synth.interleave_streams([a, b], chunk=8)
         from_a = addresses[addresses < 10_000]
         assert np.all(np.diff(from_a) > 0)
 
-    def test_interleave_preserves_total_counts(self, rng):
+    def test_interleave_preserves_total_counts(self):
         a = synth.sweep(0, 100)
         b = synth.sweep(10_000, 37)
-        addresses, _ = synth.interleave_streams(rng, [a, b], chunk=8)
+        addresses, _ = synth.interleave_streams([a, b], chunk=8)
         assert addresses.size == 137
 
-    def test_interleave_proportional_chunks_preserve_prefix_mix(self, rng):
+    def test_interleave_proportional_chunks_preserve_prefix_mix(self):
         # A truncated prefix keeps each stream's share of references.
         a = synth.sweep(0, 1000)
         b = synth.sweep(100_000, 250)
-        addresses, _ = synth.interleave_streams(rng, [a, b], chunk=40)
+        addresses, _ = synth.interleave_streams([a, b], chunk=40)
         prefix = addresses[:500]
         share_b = (prefix >= 100_000).mean()
         assert 0.1 < share_b < 0.3  # 250/1250 = 0.2
 
-    def test_interleave_empty_streams_rejected(self, rng):
+    def test_interleave_empty_streams_rejected(self):
         with pytest.raises(WorkloadError):
-            synth.interleave_streams(rng, [])
+            synth.interleave_streams([])
+
+    @pytest.mark.parametrize("chunk", [0, -3])
+    def test_interleave_non_positive_chunk_rejected(self, chunk):
+        with pytest.raises(WorkloadError):
+            synth.interleave_streams([synth.sweep(0, 8)], chunk=chunk)
+
+    @staticmethod
+    def _interleaved():
+        # The interleave takes no generator: its schedule is seed-free.
+        return synth.interleave_streams(
+            [synth.sweep(0, 64), synth.sweep(4096, 64)], chunk=8
+        )
+
+    def test_interleave_is_deterministic(self):
+        a, b = self._interleaved(), self._interleaved()
+        assert a[0].tolist() == b[0].tolist()
+        assert a[1].tolist() == b[1].tolist()
+
+    def test_interleave_stream_pair_shape_contract(self):
+        addresses, writes = self._interleaved()
+        assert addresses.dtype == np.int64
+        assert writes.dtype == bool
+        assert addresses.shape == writes.shape
 
     def test_concat(self):
         a = synth.sweep(0, 4)
@@ -209,6 +232,67 @@ class TestCombinators:
         assert trace.name == "x"
 
 
+def reference_round_robin(streams, chunks):
+    """The round-robin schedule as a stable sort on (round, stream)."""
+    rounds = np.concatenate(
+        [np.arange(s[0].size) // chunk for s, chunk in zip(streams, chunks)]
+    )
+    owner = np.concatenate(
+        [np.full(s[0].size, i) for i, s in enumerate(streams)]
+    )
+    order = np.lexsort((owner, rounds))
+    return (
+        np.concatenate([s[0] for s in streams])[order],
+        np.concatenate([s[1] for s in streams])[order],
+        owner[order],
+    )
+
+
+class TestRoundRobin:
+    def test_schedule(self):
+        a = (np.array([1, 2, 3, 4, 5]), np.zeros(5, dtype=bool))
+        b = (np.array([10, 20]), np.ones(2, dtype=bool))
+        addresses, writes, owner = synth.round_robin([a, b], [2, 1])
+        assert addresses.tolist() == [1, 2, 10, 3, 4, 20, 5]
+        assert writes.tolist() == [0, 0, 1, 0, 0, 1, 0]
+        assert owner.tolist() == [0, 0, 1, 0, 0, 1, 0]
+        assert owner.dtype == np.int16
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_matches_stable_sort_on_round_and_stream(self, seed):
+        gen = np.random.default_rng(seed)
+        count = int(gen.integers(1, 6))
+        streams = []
+        for _ in range(count):
+            size = int(gen.integers(0, 300))  # empty streams included
+            # Strided views: streams need not be contiguous arrays.
+            streams.append(
+                (gen.integers(0, 1 << 40, 2 * size)[::2], gen.random(size) < 0.3)
+            )
+        chunks = gen.integers(1, 70, count).tolist()
+        got = synth.round_robin(streams, chunks)
+        want = reference_round_robin(streams, chunks)
+        for got_array, want_array in zip(got, want):
+            assert got_array.tolist() == want_array.tolist()
+
+    def test_all_streams_empty(self):
+        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
+        addresses, writes, owner = synth.round_robin([empty, empty], [4, 4])
+        assert addresses.size == writes.size == owner.size == 0
+
+    @pytest.mark.parametrize("chunks", [[0], [4, 0], [-1, 4]])
+    def test_non_positive_chunk_rejected(self, chunks):
+        streams = [synth.sweep(0, 8)] * len(chunks)
+        with pytest.raises(WorkloadError, match="positive"):
+            synth.round_robin(streams, chunks)
+
+    def test_shape_mismatches_rejected(self):
+        with pytest.raises(WorkloadError):
+            synth.round_robin([], [])
+        with pytest.raises(WorkloadError):
+            synth.round_robin([synth.sweep(0, 8)], [4, 4])
+
+
 class TestDeterminism:
     """Every rng-driven builder is a pure function of the generator state
     — the property the scenario engine's content addressing rests on."""
@@ -224,9 +308,6 @@ class TestDeterminism:
         "pointer_chain": lambda rng: synth.pointer_chain(
             rng, 0, 64, 4, 500, locality=0.5
         ),
-        "interleave_streams": lambda rng: synth.interleave_streams(
-            rng, [synth.sweep(0, 64), synth.sweep(4096, 64)], chunk=8
-        ),
     }
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -237,8 +318,7 @@ class TestDeterminism:
         c = build(np.random.default_rng(12))
         assert a[0].tolist() == b[0].tolist()
         assert a[1].tolist() == b[1].tolist()
-        if name != "interleave_streams":  # its schedule is seed-free
-            assert a[0].tolist() != c[0].tolist()
+        assert a[0].tolist() != c[0].tolist()
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_stream_pair_shape_contract(self, name):
