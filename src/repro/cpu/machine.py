@@ -8,7 +8,6 @@ paths, full system — and produces the paper's (T_P, T_I, T) triple as an
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.core.decomposition import ExecutionDecomposition, decompose
@@ -19,7 +18,7 @@ from repro.cpu.isa import InstructionTrace
 from repro.cpu.itrace import instruction_trace_for_workload
 from repro.cpu.ooo import OutOfOrderCore
 from repro.mem.timing import MemoryMode, TimingMemory, TimingMemoryStats
-from repro.obs import OBS
+from repro.obs import OBS, TRACER
 from repro.workloads.base import DEFAULT_SCALE, SyntheticWorkload
 
 
@@ -63,12 +62,12 @@ class Machine:
                 issue_width=processor.issue_width,
                 mem_ports=processor.mem_ports,
             )
-        if not OBS.enabled:
+        if not TRACER.timing:
             return core.run(trace), memory.stats
-        with OBS.span("machine.mode", mode=mode.value, config=self.config.name):
-            start = time.perf_counter()
+        with TRACER.span(
+            "machine.mode", mode=mode.value, config=self.config.name
+        ):
             result = core.run(trace)
-            OBS.observe(f"machine.mode.{mode.value}", time.perf_counter() - start)
         OBS.emit(
             "machine.result",
             mode=mode.value,

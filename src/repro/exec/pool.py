@@ -48,10 +48,11 @@ Observability (all via :data:`repro.obs.OBS`, no-ops when disabled):
 ``exec.cache.hit`` / ``exec.cache.miss`` / ``exec.cache.store``,
 ``exec.tasks``, ``exec.retry``, ``exec.worker.crash``, ``exec.timeout``,
 ``exec.resume.reused``, and ``exec.pool.fallback`` counters, an
-``exec.jobs`` gauge, and a per-task ``exec.worker.time`` timer. Workers
-run with a private metrics registry and a null sink; their *counter*
-deltas are merged into the parent as results are recorded, while
-worker-side events and timer samples are intentionally dropped.
+``exec.jobs`` gauge, and the ``exec.task`` / ``exec.cache.lookup`` span
+histograms. Workers run each task against a fresh metrics registry and
+a null sink; the task's counters and span histograms travel back with
+its value and are merged into the parent once, as results are recorded,
+while worker-side events are intentionally dropped.
 """
 
 from __future__ import annotations
@@ -114,25 +115,24 @@ def _worker_init() -> None:
     """Per-worker (forked child) initialisation.
 
     The child inherits the parent's :data:`OBS` facade, ``EXEC`` context,
-    and ``FAULTS`` plan. Give it a private registry and a null sink — the
-    parent owns any real sink's file handle — and force serial execution
-    so a task that itself runs a sweep cannot spawn a nested pool.
+    and ``FAULTS`` plan. Give it a null sink — the parent owns any real
+    sink's file handle — and force serial execution so a task that itself
+    runs a sweep cannot spawn a nested pool.
     """
     from repro.exec.context import EXEC
 
-    OBS.registry = MetricsRegistry()
     OBS.sink = NullSink()
     EXEC.jobs = 1
 
 
 def _traced_call(fn, args, kwargs, label: str, trace: dict | None):
-    """Run the task body inside an ``exec.task`` span when tracing.
+    """Run the task body inside an ``exec.task`` span when timing.
 
     *trace* re-hydrates a parent context shipped across the process
     boundary; without one the span chains onto the ambient context (the
     in-process serial path inherits the caller's open span directly).
     """
-    if not TRACER.enabled:
+    if not TRACER.timing:
         return fn(*args, **kwargs)
     attrs = {"label": label} if label else {}
     if trace is not None:
@@ -143,19 +143,17 @@ def _traced_call(fn, args, kwargs, label: str, trace: dict | None):
 
 
 def _invoke(fn, args, kwargs, label: str = "", trace: dict | None = None):
-    """Worker-side call: fault hooks, timing, counter-delta capture."""
+    """Worker-side call: fault hooks, then the task and its metrics delta."""
     if FAULTS.active:
         FAULTS.fire("task.delay", label)
         FAULTS.fire("worker.kill", label)
         FAULTS.fire("task.raise", label)
-    start = time.perf_counter()
-    value = _traced_call(fn, args, kwargs, label, trace)
-    seconds = time.perf_counter() - start
-    counters = None
     if OBS.enabled:
-        counters = OBS.registry.counter_values()
-        OBS.registry = MetricsRegistry()  # fresh slate for the next task
-    return value, seconds, counters
+        # A fresh slate per task: nothing of an earlier (possibly
+        # failed) attempt on this worker rides along in the delta.
+        OBS.registry = MetricsRegistry()
+    value = _traced_call(fn, args, kwargs, label, trace)
+    return value, (OBS.registry.delta() if OBS.enabled else None)
 
 
 def _run_task_inline(task: Task):
@@ -169,9 +167,7 @@ def _run_task_inline(task: Task):
         FAULTS.fire("task.delay", task.label)
         FAULTS.fire("worker.kill", task.label)
         FAULTS.fire("task.raise", task.label)
-    start = time.perf_counter()
-    value = _traced_call(task.fn, task.args, task.kwargs, task.label, task.trace)
-    return value, time.perf_counter() - start
+    return _traced_call(task.fn, task.args, task.kwargs, task.label, task.trace)
 
 
 def _fork_available() -> bool:
@@ -207,14 +203,12 @@ def _finish(
     state.completed += 1
 
 
-def _merge_worker(counters, seconds: float, observed: bool) -> None:
+def _merge_worker(delta: dict | None, observed: bool) -> None:
     if not observed:
         return
-    OBS.observe("exec.worker.time", seconds)
     OBS.count("exec.tasks")
-    if counters:
-        for name, amount in counters.items():
-            OBS.count(name, amount)
+    if delta:
+        OBS.registry.merge(delta)
 
 
 def _task_name(task: Task) -> str:
@@ -236,7 +230,7 @@ def _attempt_serial(
     failures = 0
     while True:
         try:
-            value, seconds = _run_task_inline(task)
+            value = _run_task_inline(task)
         except Exception as exc:
             if not policy.retryable(exc):
                 raise
@@ -254,7 +248,6 @@ def _attempt_serial(
             time.sleep(policy.backoff(task.label, total))
             continue
         if observed:
-            OBS.observe("exec.worker.time", seconds)
             OBS.count("exec.tasks")
         return value
 
@@ -292,8 +285,8 @@ def _harvest_done(
                 continue
         except CancelledError:
             continue
-        value, seconds, counters = future.result()
-        _merge_worker(counters, seconds, observed)
+        value, delta = future.result()
+        _merge_worker(delta, observed)
         _finish(state, index, tasks[index], value, cache, observed)
         harvested.add(index)
     return harvested
@@ -362,7 +355,7 @@ def _run_pool(
                 task = tasks[index]
                 later = remaining[position + 1:]
                 try:
-                    value, seconds, counters = futures[index].result(
+                    value, delta = futures[index].result(
                         timeout=policy.timeout
                     )
                 except TimeoutError as exc:
@@ -430,7 +423,7 @@ def _run_pool(
                      else escalated).append(index)
                     continue
                 else:
-                    _merge_worker(counters, seconds, observed)
+                    _merge_worker(delta, observed)
                     _finish(state, index, task, value, cache, observed)
         except KeyboardInterrupt:
             _harvest_done(tasks, futures, remaining, state, cache, observed)
@@ -490,8 +483,7 @@ def run_tasks(
 
     resuming = cache is not None and read_checkpoint(cache) is not None
 
-    tracing = TRACER.enabled
-    if tracing:
+    if TRACER.enabled:
         # Pool workers cannot see this thread's ambient span context, so
         # stamp it onto each task that was not given an explicit parent.
         ambient = TRACER.current()
@@ -503,12 +495,11 @@ def run_tasks(
     pending: list[int] = []
     for index, task in enumerate(tasks):
         if cache is not None and task.key is not None:
-            lookup_start = time.time()
+            timed = TRACER.timing
+            lookup_start = time.time() if timed else 0.0
             value = cache.get(task.key)
             hit = value is not MISS
-            if observed:
-                OBS.hist("exec.cache.lookup.time", time.time() - lookup_start)
-            if tracing:
+            if timed:
                 TRACER.emit_span(
                     "exec.cache.lookup",
                     lookup_start,

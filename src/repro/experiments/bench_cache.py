@@ -115,8 +115,8 @@ def run(
         )
         rows.append(row)
         if OBS.enabled:
-            OBS.observe("bench.cache.scalar", scalar_seconds)
-            OBS.observe("bench.cache.vector", vector_seconds)
+            OBS.hist("bench.cache.scalar", scalar_seconds)
+            OBS.hist("bench.cache.vector", vector_seconds)
     result = BenchResult(config=BENCH_CONFIG.describe(), rows=rows)
     if OBS.enabled:
         OBS.gauge("bench.cache.speedup", result.overall_speedup)

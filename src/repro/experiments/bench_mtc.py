@@ -111,8 +111,8 @@ def run(
             )
         )
         if OBS.enabled:
-            OBS.observe("bench.mtc.scalar", scalar_seconds)
-            OBS.observe("bench.mtc.vector", vector_seconds)
+            OBS.hist("bench.mtc.scalar", scalar_seconds)
+            OBS.hist("bench.mtc.vector", vector_seconds)
     result = BenchResult(sizes=BENCH_SIZES, rows=rows)
     if OBS.enabled:
         OBS.gauge("bench.mtc.speedup", result.overall_speedup)

@@ -146,8 +146,8 @@ def run(
             )
         )
         if OBS.enabled:
-            OBS.observe("bench.sampled.exact", exact_seconds)
-            OBS.observe("bench.sampled.sampled", sampled_seconds)
+            OBS.hist("bench.sampled.exact", exact_seconds)
+            OBS.hist("bench.sampled.sampled", sampled_seconds)
     result = BenchResult(sizes=BENCH_SIZES, rate=sampling.effective_rate, rows=rows)
     if OBS.enabled:
         OBS.gauge("bench.sampled.speedup", result.overall_speedup)

@@ -102,8 +102,8 @@ def run(
             )
         )
         if OBS.enabled:
-            OBS.observe("bench.sweep.per_cell", per_cell_seconds)
-            OBS.observe("bench.sweep.family", family_seconds)
+            OBS.hist("bench.sweep.per_cell", per_cell_seconds)
+            OBS.hist("bench.sweep.family", family_seconds)
     result = BenchResult(sizes=tuple(sizes), rows=rows)
     if OBS.enabled:
         OBS.gauge("bench.sweep.speedup", result.overall_speedup)

@@ -11,7 +11,6 @@ scaled ones.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Sequence
 
@@ -163,120 +162,59 @@ def _measure_row(
     measure: Callable[[SyntheticWorkload, int], object],
     workload: SyntheticWorkload,
     simulated_sizes: Sequence[int],
-) -> dict[str, list]:
+) -> list[object]:
     """Top-level (hence picklable) row task: one workload, all its cells.
 
     Measures exposing ``measure_row(workload, simulated_sizes)`` (the
     one-pass multi-size engines of table7/table8) evaluate the whole row
-    in one call; only row-level timing exists then, reported as
-    ``row_seconds`` with per-cell ``seconds`` of ``None``.
+    in one ``sweep.row`` span; others run one ``sweep.cell`` span per
+    cell. The spans time only work that runs: a row answered from the
+    result cache never enters this function, and a pool worker's spans
+    reach the parent through the merged task metrics. A row whose every
+    cell is "<<<" measures nothing.
     """
+    if not simulated_sizes:
+        return []
     if hasattr(measure, "measure_row"):
-        start = time.perf_counter()
-        if TRACER.enabled:
-            with TRACER.span(
-                "sweep.row",
-                workload=workload.name,
-                sizes=len(simulated_sizes),
-            ):
-                values = _row_values(measure, workload, simulated_sizes)
-        else:
-            values = _row_values(measure, workload, simulated_sizes)
-        elapsed = time.perf_counter() - start
-        return {
-            "values": values,
-            "seconds": [None] * len(values),
-            "row_seconds": elapsed,
-        }
+        if not TRACER.timing:
+            return _row_values(measure, workload, simulated_sizes)
+        with TRACER.span(
+            "sweep.row", workload=workload.name, sizes=len(simulated_sizes)
+        ):
+            return _row_values(measure, workload, simulated_sizes)
+    if not TRACER.timing:
+        return [measure(workload, simulated) for simulated in simulated_sizes]
     values: list[object] = []
-    seconds: list[float] = []
     for simulated in simulated_sizes:
-        start = time.perf_counter()
-        if TRACER.enabled:
-            with TRACER.span(
-                "sweep.cell", workload=workload.name, simulated_size=simulated
-            ):
-                values.append(measure(workload, simulated))
-        else:
+        with TRACER.span(
+            "sweep.cell", workload=workload.name, simulated_size=simulated
+        ):
             values.append(measure(workload, simulated))
-        seconds.append(time.perf_counter() - start)
-    return {"values": values, "seconds": seconds, "row_seconds": None}
+    return values
 
 
-def _evaluate_serial(
+def _place_row(
     title: str,
-    workloads: Sequence[SyntheticWorkload],
-    size_list: Sequence[int],
-    plans: Sequence[Sequence[_CellPlan]],
-    measure: Callable[[SyntheticWorkload, int], object],
-) -> list[list[object | None]]:
-    """The classic in-process path (jobs=1, no cache): zero new moving
-    parts, identical instrumentation to the pre-exec-layer runner."""
-    observed = OBS.enabled
-    row_capable = hasattr(measure, "measure_row")
-    rows: list[list[object | None]] = []
-    with OBS.span("sweep", title=title):
-        for workload, plan in zip(workloads, plans):
-            row: list[object | None] = [None] * len(size_list)
-            if row_capable and plan:
-                simulated_sizes = [simulated for _, _, simulated in plan]
-                start = time.perf_counter()
-                if TRACER.enabled:
-                    with TRACER.span(
-                        "sweep.row",
-                        workload=workload.name,
-                        sizes=len(simulated_sizes),
-                    ):
-                        values = _row_values(measure, workload, simulated_sizes)
-                else:
-                    values = _row_values(measure, workload, simulated_sizes)
-                elapsed = time.perf_counter() - start
-                for (column, paper_size, simulated), value in zip(plan, values):
-                    row[column] = value
-                    if observed:
-                        OBS.count("sweep.cells")
-                        OBS.emit(
-                            "sweep.cell",
-                            title=title,
-                            workload=workload.name,
-                            paper_size=paper_size,
-                            simulated_size=simulated,
-                            value=value,
-                        )
-                if observed:
-                    OBS.observe("sweep.row", elapsed)
-                rows.append(row)
-                continue
-            for column, paper_size, simulated in plan:
-                if not (observed or TRACER.enabled):
-                    row[column] = measure(workload, simulated)
-                    continue
-                start = time.perf_counter()
-                if TRACER.enabled:
-                    with TRACER.span(
-                        "sweep.cell",
-                        workload=workload.name,
-                        simulated_size=simulated,
-                    ):
-                        value = measure(workload, simulated)
-                else:
-                    value = measure(workload, simulated)
-                if not observed:
-                    row[column] = value
-                    continue
-                OBS.observe("sweep.measure", time.perf_counter() - start)
-                OBS.count("sweep.cells")
-                OBS.emit(
-                    "sweep.cell",
-                    title=title,
-                    workload=workload.name,
-                    paper_size=paper_size,
-                    simulated_size=simulated,
-                    value=value,
-                )
-                row[column] = value
-            rows.append(row)
-    return rows
+    workload: SyntheticWorkload,
+    plan: Sequence[_CellPlan],
+    values: Sequence[object],
+    width: int,
+) -> list[object | None]:
+    """Lay one row's values into its grid columns, counting each cell."""
+    row: list[object | None] = [None] * width
+    for (column, paper_size, simulated), value in zip(plan, values):
+        row[column] = value
+        if OBS.enabled:
+            OBS.count("sweep.cells")
+            OBS.emit(
+                "sweep.cell",
+                title=title,
+                workload=workload.name,
+                paper_size=paper_size,
+                simulated_size=simulated,
+                value=value,
+            )
+    return row
 
 
 def evaluate_grid(
@@ -310,7 +248,7 @@ def evaluate_grid(
     size of a row from a single pass over the trace. Row measures are
     bit-identical to per-cell measurement, so grids (and cache keys) do
     not depend on which path ran; only the timing telemetry differs
-    (``sweep.row`` instead of per-cell ``sweep.measure``).
+    (one ``sweep.row`` span instead of per-cell ``sweep.cell`` spans).
     """
     size_list = list(sizes) if sizes is not None else list(axis.paper_sizes)
     full = full_rows or set()
@@ -328,9 +266,20 @@ def evaluate_grid(
 
     cache = EXEC.cache if cache_key is not None else None
     if EXEC.jobs == 1 and cache is None:
-        return size_list, _evaluate_serial(
-            title, workloads, size_list, plans, measure
-        )
+        # The classic in-process path: zero new moving parts, and each
+        # row's events follow the events of its own simulation.
+        return size_list, [
+            _place_row(
+                title,
+                workload,
+                plan,
+                _measure_row(
+                    measure, workload, [simulated for _, _, simulated in plan]
+                ),
+                len(size_list),
+            )
+            for workload, plan in zip(workloads, plans)
+        ]
 
     tasks = []
     for workload, plan in zip(workloads, plans):
@@ -359,32 +308,10 @@ def evaluate_grid(
             )
         )
     outcomes = run_tasks(tasks, jobs=EXEC.jobs, cache=cache, retry=EXEC.retry)
-
-    observed = OBS.enabled
-    rows: list[list[object | None]] = []
-    with OBS.span("sweep", title=title):
-        for workload, plan, outcome in zip(workloads, plans, outcomes):
-            row: list[object | None] = [None] * len(size_list)
-            for (column, paper_size, simulated), value, seconds in zip(
-                plan, outcome["values"], outcome["seconds"]
-            ):
-                if observed:
-                    if seconds is not None:
-                        OBS.observe("sweep.measure", seconds)
-                    OBS.count("sweep.cells")
-                    OBS.emit(
-                        "sweep.cell",
-                        title=title,
-                        workload=workload.name,
-                        paper_size=paper_size,
-                        simulated_size=simulated,
-                        value=value,
-                    )
-                row[column] = value
-            if observed and outcome.get("row_seconds") is not None:
-                OBS.observe("sweep.row", outcome["row_seconds"])
-            rows.append(row)
-    return size_list, rows
+    return size_list, [
+        _place_row(title, workload, plan, values, len(size_list))
+        for workload, plan, values in zip(workloads, plans, outcomes)
+    ]
 
 
 def sweep_grid(

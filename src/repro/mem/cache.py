@@ -436,7 +436,7 @@ class Cache:
             )
         from repro.mem import engines
 
-        started = time.time()
+        started = time.time() if TRACER.timing else 0.0
         selection = engines.resolve_engine(engine)
         if selection in ("sampled", "auto"):
             from repro.mem import sampled as sampled_engine
@@ -470,7 +470,7 @@ class Cache:
             )
             if result is not None:
                 self.stats = result
-                self._record_run(trace, engine=selection, started=started)
+                self._record_run(trace, engine="vector", started=started)
                 return self.stats
         if self._policy.needs_future:
             self._policy.prepare(trace.addresses // self.config.block_bytes)
@@ -522,24 +522,21 @@ class Cache:
         for position, chunk in enumerate(chunks):
             if FAULTS.active:
                 FAULTS.fire("sim.chunk", f"{chunk.name}:{position}")
-            timed = OBS.enabled or TRACER.enabled
+            timed = TRACER.timing
             chunk_started = time.time() if timed else 0.0
             for address, write in zip(
                 chunk.addresses.tolist(), chunk.is_write.tolist()
             ):
                 access(address, write)
             if timed:
-                if OBS.enabled:
-                    OBS.hist("sim.chunk.time", time.time() - chunk_started)
-                if TRACER.enabled:
-                    TRACER.emit_span(
-                        "sim.chunk",
-                        chunk_started,
-                        time.time(),
-                        chunk=chunk.name,
-                        position=position,
-                        accesses=len(chunk.addresses),
-                    )
+                TRACER.emit_span(
+                    "sim.chunk",
+                    chunk_started,
+                    time.time(),
+                    chunk=chunk.name,
+                    position=position,
+                    accesses=len(chunk.addresses),
+                )
         if flush:
             self.flush()
         return self.stats
@@ -548,11 +545,11 @@ class Cache:
         self,
         trace: MemTrace,
         *,
-        engine: str = "scalar",
-        started: float | None = None,
+        engine: str,
+        started: float,
     ) -> None:
         """Aggregate one simulate() run into the instrumentation layer."""
-        if TRACER.enabled and started is not None:
+        if TRACER.timing:
             TRACER.emit_span(
                 "sim.cache",
                 started,
@@ -564,10 +561,9 @@ class Cache:
             )
         if not OBS.enabled:
             return
-        if started is not None:
-            OBS.hist(f"sim.cache.{engine}.time", time.time() - started)
         stats = self.stats
         OBS.count("cache.simulations")
+        OBS.count(f"cache.engine.{engine}")
         OBS.count("cache.accesses", stats.accesses)
         OBS.count("cache.misses", stats.misses)
         OBS.count("cache.fetch_bytes", stats.fetch_bytes)

@@ -459,7 +459,7 @@ def _record_family(
     kind: str,
     trace: MemTrace,
     results: dict[int, CacheStats],
-    started: float | None = None,
+    started: float,
 ) -> None:
     """Credit a family pass with the per-size simulations it replaced.
 
@@ -468,7 +468,7 @@ def _record_family(
     by wall-clock then reads as effective throughput, which is exactly
     the quantity the one-pass sweep is supposed to multiply.
     """
-    if TRACER.enabled and started is not None:
+    if TRACER.timing:
         TRACER.emit_span(
             "engine.family",
             started,
@@ -479,9 +479,8 @@ def _record_family(
         )
     if not OBS.enabled:
         return
-    if started is not None:
-        OBS.hist(f"engine.family.{kind}.time", time.time() - started)
     OBS.count("cache.simulations", len(results))
+    OBS.count(f"cache.family.{kind}")
     total = 0
     for stats in results.values():
         total += stats.accesses
@@ -522,7 +521,7 @@ def direct_mapped_family(
     results: dict[int, CacheStats] = {}
     if not sizes_bytes:
         return results
-    started = time.time()
+    started = time.time() if TRACER.timing else 0.0
     for size in sizes_bytes:
         # Validate every size eagerly (matches per-size construction).
         CacheConfig(size_bytes=size, block_bytes=block_bytes)
@@ -628,7 +627,7 @@ def fully_associative_lru_family(
     """
     from repro.trace.mrc import traffic_curve
 
-    started = time.time()
+    started = time.time() if TRACER.timing else 0.0
     for size in sizes_bytes:
         CacheConfig.fully_associative(size, block_bytes)
     curve = traffic_curve(trace, block_bytes=block_bytes)

@@ -100,7 +100,7 @@ class MinimalTrafficCache:
 
         from repro.mem import engines
 
-        started = time.time()
+        started = time.time() if TRACER.timing else 0.0
         selection = engines.resolve_engine(engine)
         if selection in ("sampled", "auto"):
             from repro.mem import sampled as sampled_engine
@@ -255,11 +255,11 @@ class MinimalTrafficCache:
         self,
         trace: MemTrace,
         *,
-        engine: str = "scalar",
-        started: float | None = None,
+        engine: str,
+        started: float,
     ) -> None:
         """Aggregate one simulate() run into the instrumentation layer."""
-        if TRACER.enabled and started is not None:
+        if TRACER.timing:
             TRACER.emit_span(
                 "sim.mtc",
                 started,
@@ -270,10 +270,9 @@ class MinimalTrafficCache:
             )
         if not OBS.enabled:
             return
-        if started is not None:
-            OBS.hist(f"sim.mtc.{engine}.time", time.time() - started)
         stats = self.stats
         OBS.count("mtc.simulations")
+        OBS.count(f"mtc.engine.{engine}")
         OBS.count("mtc.accesses", stats.accesses)
         OBS.count("mtc.misses", stats.misses)
         OBS.count("mtc.traffic_bytes", stats.total_traffic_bytes)

@@ -2,15 +2,16 @@
 
 The layer has five pieces:
 
-* :mod:`repro.obs.registry` — aggregate metrics (counters, gauges, timers
-  with percentile summaries, fixed-bucket latency histograms);
-* :mod:`repro.obs.hist` — the histogram type and interpolated-percentile
-  helper shared by timers, benches, and span analysis;
-* :mod:`repro.obs.events` — structured event sinks (JSONL spans/events,
+* :mod:`repro.obs.registry` — aggregate metrics (counters, gauges,
+  fixed-bucket duration histograms);
+* :mod:`repro.obs.hist` — the histogram type and an exact
+  interpolated-percentile helper for raw sample lists;
+* :mod:`repro.obs.events` — structured event sinks (JSONL events,
   stderr structured logging, a no-op default);
-* :mod:`repro.obs.spans` — request-scoped tracing (:data:`TRACER`):
-  trace/span ids propagated serve → scheduler → pool worker → engine,
-  logged as JSONL with parent links for ``repro spans`` analysis;
+* :mod:`repro.obs.spans` — the one way to time a region (:data:`TRACER`):
+  every span observes the histogram of its own name while :data:`OBS` is
+  enabled, and with ``--trace-spans`` is also logged as JSONL with
+  trace/span ids propagated serve → scheduler → pool worker → engine;
 * :mod:`repro.obs.profiler` — the experiment profiling harness behind
   ``python -m repro profile`` and ``BENCH_profile.json``.
 
@@ -30,8 +31,8 @@ an independent :class:`Instrumentation` and pass it around explicitly).
 
 Determinism contract: every field of every emitted event, and every
 counter/gauge value, is a pure function of the simulated inputs (seed,
-trace, configuration). Wall-clock time only ever enters timer samples
-and profiler output, never the event stream.
+trace, configuration). Wall-clock time only ever enters histograms, span
+logs and profiler output, never the event stream.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from repro.obs.hist import (
     Histogram,
     percentile_interpolated,
 )
-from repro.obs.registry import Counter, Gauge, MetricsRegistry, Timer, percentile
+from repro.obs.registry import Counter, Gauge, MetricsRegistry
 from repro.obs.spans import (
     SPAN_SCHEMA,
     TRACER,
@@ -67,10 +68,8 @@ __all__ = [
     "MetricsRegistry",
     "Counter",
     "Gauge",
-    "Timer",
     "Histogram",
     "DEFAULT_LATENCY_BUCKETS",
-    "percentile",
     "percentile_interpolated",
     "EventSink",
     "NullSink",
@@ -121,15 +120,13 @@ class Instrumentation:
         if self.enabled:
             self.registry.gauge(name).set(value)
 
-    def observe(self, name: str, seconds: float) -> None:
-        if self.enabled:
-            self.registry.timer(name).observe(seconds)
-
     def hist(self, name: str, seconds: float) -> None:
         """Record *seconds* into the fixed-bucket histogram *name*.
 
-        Prefer this over :meth:`observe` for long-lived processes (the
-        server): memory stays O(buckets) however many samples arrive.
+        For durations that are data (a batch's share per job, a bench
+        row's measured seconds). A region timed in this process is a
+        span instead (:meth:`SpanTracer.span`), which feeds the
+        histogram of its own name.
         """
         if self.enabled:
             self.registry.histogram(name).observe(seconds)
@@ -144,19 +141,6 @@ class Instrumentation:
         event: dict[str, object] = {"seq": self._seq, "kind": kind}
         event.update(fields)
         self.sink.emit(event)
-
-    @contextmanager
-    def span(self, name: str, **fields: object) -> Iterator[None]:
-        """A begin/end event pair around a code region.
-
-        The pair carries no durations (events must stay deterministic);
-        wall time for the same region belongs in a registry timer.
-        """
-        self.emit(f"{name}.begin", **fields)
-        try:
-            yield
-        finally:
-            self.emit(f"{name}.end", **fields)
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -173,6 +157,7 @@ class Instrumentation:
             self.sink = sink
         self.enabled = True
         self._seq = 0
+        TRACER.sync()
 
     def deactivate(self) -> None:
         """Return to the zero-overhead default state (fresh registry)."""
@@ -181,6 +166,7 @@ class Instrumentation:
         self.registry = MetricsRegistry()
         self.enabled = False
         self._seq = 0
+        TRACER.sync()
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"
@@ -190,6 +176,7 @@ class Instrumentation:
 #: The process-wide facade every simulator layer imports. Disabled by
 #: default; the CLI (and the profiler) turn it on for one run at a time.
 OBS = Instrumentation()
+TRACER.metrics = OBS  # spans feed OBS's histograms while it is enabled
 
 
 def configure(
@@ -228,3 +215,4 @@ def instrumented(
             OBS.sink.close()
         OBS.registry, OBS.sink = prev_registry, prev_sink
         OBS.enabled, OBS._seq = prev_enabled, prev_seq
+        TRACER.sync()

@@ -1,4 +1,4 @@
-"""Structured event-trace sinks: JSONL spans/events for simulation runs.
+"""Structured event-trace sinks: JSONL events for simulation runs.
 
 An *event* is one flat JSON object::
 
@@ -8,8 +8,9 @@ An *event* is one flat JSON object::
 :class:`~repro.obs.Instrumentation` facade, not wall-clock time — event
 streams must be byte-identical across two runs with the same seed, so no
 sink field may depend on timing. Kinds are dotted lowercase paths
-(``cache.simulate``, ``bus.transfer``, ``mshr.stall``, ``core.run``,
-``stage.begin``/``stage.end``); see docs/observability.md for the schema.
+(``cache.simulate``, ``bus.transfer``, ``mshr.stall``, ``core.run``);
+see docs/observability.md for the schema. Timed regions are spans
+(:mod:`repro.obs.spans`), never events.
 
 Sinks:
 

@@ -3,24 +3,23 @@
 Two related pieces live here:
 
 * :func:`percentile_interpolated` — the *exact* linearly-interpolated
-  percentile of a raw sample list. This replaces nearest-rank percentiles
-  everywhere a full sample set is held (``Timer.summary``,
-  ``scripts/load_serve.py``): with small sample counts nearest-rank p99
+  percentile of a full, bounded sample list (``scripts/load_serve.py``'s
+  client-side latencies): with small sample counts nearest-rank p99
   degenerates to the max, which made ``BENCH_serve.json`` report
   ``p99 == max`` for a 40-sample run.
-* :class:`Histogram` — a fixed-bucket duration histogram for metrics that
-  must stay O(1) per observation and O(buckets) in memory no matter how
-  many samples arrive (queue waits and service times on a server that
-  never restarts). Snapshots estimate p50/p95/p99 by linear interpolation
-  *within* the owning bucket, clamped to the observed min/max so a
-  sparsely-filled histogram never invents values outside the data.
+* :class:`Histogram` — the repo's only duration instrument: O(1) per
+  observation and O(buckets) in memory no matter how many samples
+  arrive, so a server that never restarts stays bounded. Every span
+  feeds the histogram of its name. Snapshots estimate p50/p95/p99 by
+  linear interpolation *within* the owning bucket, clamped to the
+  observed min/max so a sparsely-filled histogram never invents values
+  outside the data.
 
 Buckets are latency-shaped by default: a 1-2-5 decade series from 10 µs
 to 100 s (:data:`DEFAULT_LATENCY_BUCKETS`), with an implicit +inf
 overflow bucket. Both pieces are deliberately dependency-free — the
-registry (:mod:`repro.obs.registry`) embeds :class:`Histogram` as its
-fourth instrument kind, and the span tooling reuses the percentile
-helper for its self-time summaries.
+registry (:mod:`repro.obs.registry`) embeds :class:`Histogram` as one of
+its three instrument kinds.
 """
 
 from __future__ import annotations
@@ -147,6 +146,26 @@ class Histogram:
                 self.min = seconds
             if seconds > self.max:
                 self.max = seconds
+
+    def state(self) -> tuple:
+        """Picklable ``(bounds, counts, total, min, max)`` for :meth:`merge`."""
+        with self._lock:
+            return self.bounds, list(self.counts), self.total, self.min, self.max
+
+    def merge(self, state: tuple) -> None:
+        """Fold another histogram's :meth:`state` (same bounds) into this one."""
+        bounds, counts, total, low, high = state
+        if tuple(bounds) != self.bounds:
+            raise ConfigurationError(
+                f"histogram {self.name} cannot merge different bucket bounds"
+            )
+        with self._lock:
+            for index, bucket_count in enumerate(counts):
+                self.counts[index] += bucket_count
+            self.count += sum(counts)
+            self.total += total
+            self.min = min(self.min, low)
+            self.max = max(self.max, high)
 
     def quantile(self, q: float) -> float:
         """Estimated q-th percentile, interpolated within its bucket.

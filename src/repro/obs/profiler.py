@@ -8,10 +8,10 @@ and written as machine-readable JSON (``BENCH_profile.json``) by
 trajectory: each committed baseline lets a later PR prove a hot path got
 faster (or catch that it got slower).
 
-Schema ``repro.profile/v2``::
+Schema ``repro.profile/v3``::
 
     {
-      "schema": "repro.profile/v2",
+      "schema": "repro.profile/v3",
       "experiment": "table2",
       "max_refs": 5000,
       "engine": "auto",              # resolved engine selection
@@ -22,24 +22,22 @@ Schema ``repro.profile/v2``::
       "references": 123456,          # word refs simulated (cache + MTC)
       "refs_per_second": 101234.5,   # references / run-stage seconds
       "counters": {...},             # deterministic under a fixed seed
-      "timers": {...},               # percentile summaries, wall clock
       "gauges": {...},               # e.g. exec.jobs for parallel runs
-      "histograms": {...},           # fixed-bucket latency snapshots
+      "histograms": {...},           # one per span name, wall clock
       "python": "3.12.3"
     }
 
-v2 over v1: the ``timers`` table is now guaranteed non-empty — each
-profiled stage records a ``profile.stage.<name>`` registry timer (v1
-only ever saw timers from the pool path, so serial profiles wrote an
-empty ``{}``); timer summaries gained an interpolated ``p95_s``; and
-``histograms`` carries the fixed-bucket latency snapshots the
-instrumented engines record (``sim.cache.<engine>.time`` etc.).
+v3 over v2: the ``timers`` table is gone. Every duration is a
+fixed-bucket histogram named after the span that timed it — each
+profiled stage is a ``profile.stage.<name>`` span, the engines record
+``sim.cache``/``sim.mtc``/``engine.family``, the pool ``exec.task`` —
+and the histograms of pool workers are merged into the parent.
 
 Profiled runs never use the execution layer's result cache — a profile
 must measure real simulation work, not disk reads — but they do honour
 ``jobs`` so multi-worker throughput can be compared against the serial
-baseline (the ``exec.worker.time`` timer and ``exec.jobs`` gauge feed
-the worker-utilization line).
+baseline (the ``exec.task`` histogram and ``exec.jobs`` gauge feed the
+worker-utilization line).
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.obs import OBS, EventSink, instrumented
+from repro.obs import OBS, TRACER, EventSink, instrumented
 from repro.util import fraction
 
 __all__ = [
@@ -64,7 +62,7 @@ __all__ = [
     "write_profile",
 ]
 
-PROFILE_SCHEMA = "repro.profile/v2"
+PROFILE_SCHEMA = "repro.profile/v3"
 
 #: Counters summed into the profile's simulated-reference throughput.
 _REFERENCE_COUNTERS = ("cache.accesses", "mtc.accesses")
@@ -97,7 +95,6 @@ class RunProfile:
     wall_seconds: float
     stages: list[StageTiming]
     counters: dict[str, int]
-    timers: dict[str, dict[str, float]] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
     histograms: dict[str, dict[str, float]] = field(default_factory=dict)
     engine: str = "auto"
@@ -137,7 +134,6 @@ class RunProfile:
             "references": self.references,
             "refs_per_second": self.refs_per_second,
             "counters": self.counters,
-            "timers": self.timers,
             "gauges": self.gauges,
             "histograms": self.histograms,
             "python": platform.python_version(),
@@ -182,21 +178,16 @@ def profile_experiment(
         return sum(counters.get(key, 0) for key in _REFERENCE_COUNTERS)
 
     def staged(stage_name: str, fn):
-        with OBS.span("stage", stage=stage_name):
-            start = time.perf_counter()
-            before = simulated_references()
+        before = simulated_references()
+        with TRACER.span(f"profile.stage.{stage_name}") as span:
             result = fn()
-            seconds = time.perf_counter() - start
-            # The same duration also lands in a registry timer so the
-            # machine-readable profile's "timers" table is never empty.
-            OBS.observe(f"profile.stage.{stage_name}", seconds)
-            stages.append(
-                StageTiming(
-                    stage_name,
-                    seconds,
-                    references=simulated_references() - before,
-                )
+        stages.append(
+            StageTiming(
+                stage_name,
+                span.end - span.start,
+                references=simulated_references() - before,
             )
+        )
         return result
 
     with instrumented(sink=sink), execution(jobs=jobs):
@@ -218,7 +209,6 @@ def profile_experiment(
         wall_seconds=time.perf_counter() - overall_start,
         stages=stages,
         counters=snapshot["counters"],
-        timers=snapshot["timers"],
         gauges=snapshot["gauges"],
         histograms=snapshot["histograms"],
         engine=engines.resolve_engine(),
@@ -254,7 +244,7 @@ def render_profile(profile: RunProfile) -> str:
         f"references simulated: {profile.references:,} "
         f"({profile.refs_per_second:,.0f} refs/sec)"
     )
-    worker = profile.timers.get("exec.worker.time")
+    worker = profile.histograms.get("exec.task")
     jobs = int(profile.gauges.get("exec.jobs", 0))
     if worker and jobs:
         busy = worker.get("total_s", 0.0)

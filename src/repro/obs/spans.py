@@ -18,13 +18,20 @@ Where :mod:`repro.obs.events` answers "what happened, in what order"
 * ``start``/``end`` are epoch seconds (``time.time()``), the one clock
   that is comparable across forked processes.
 
+Spans are also the only way code times a region. Whenever the metrics
+facade (:data:`repro.obs.OBS`, bound as :attr:`SpanTracer.metrics`) is
+enabled, every closed span observes the fixed-bucket histogram of
+its own name, whether or not the span log is on — so ``sim.cache`` is
+both a span in the log and a histogram in ``/metrics`` and profiles.
+
 The process-wide :data:`TRACER` starts **disabled**; hot paths guard
-every hook behind ``if TRACER.enabled`` so the disabled cost is one
-attribute load and a branch, and disabled output is byte-identical to a
-build without this module. When enabled (``--trace-spans PATH``), each
-process appends complete lines to the shared log with an
-``O_APPEND`` handle it opened itself (re-opened after fork), so
-concurrent writers never interleave partial records.
+every hook behind ``if TRACER.timing`` (true when the span log or the
+metrics facade is on) so the disabled cost is one attribute load and a
+branch, and disabled output is byte-identical to a build without this
+module. When enabled (``--trace-spans PATH``), each process appends
+complete lines to the shared log with an ``O_APPEND`` handle it opened
+itself (re-opened after fork), so concurrent writers never interleave
+partial records.
 
 The second half of the module reads span logs back: :func:`build_trees`
 reconstructs the per-trace span trees, :func:`critical_path` extracts
@@ -72,9 +79,14 @@ _CURRENT: ContextVar[dict | None] = ContextVar("repro_span_context",
 
 
 class Span:
-    """One open span; mutate ``attrs`` before the block exits."""
+    """One open span; mutate ``attrs`` before the block exits.
 
-    __slots__ = ("name", "trace_id", "span_id", "parent_id", "start", "attrs")
+    ``end`` is stamped when a :meth:`SpanTracer.span` block closes.
+    """
+
+    __slots__ = (
+        "name", "trace_id", "span_id", "parent_id", "start", "end", "attrs"
+    )
 
     def __init__(
         self,
@@ -89,6 +101,7 @@ class Span:
         self.span_id = span_id
         self.parent_id = parent_id
         self.start = time.time()
+        self.end = self.start
         self.attrs = attrs
 
     def context(self) -> dict:
@@ -107,12 +120,24 @@ class SpanTracer:
     enables it. Forked children inherit the enabled flag and path but
     re-open the file on first emit (the parent owns the inherited
     handle), appending whole lines so writers never corrupt each other.
+
+    ``enabled`` says the span log is on; ``timing`` says a span has
+    somewhere to go (the log, or the bound metrics facade's histograms)
+    and is the one flag timed call sites check.
     """
 
-    __slots__ = ("enabled", "_path", "_file", "_file_pid", "_seq", "_lock")
+    __slots__ = (
+        "enabled", "timing", "metrics", "_path", "_file", "_file_pid",
+        "_seq", "_lock",
+    )
 
     def __init__(self) -> None:
         self.enabled = False
+        self.timing = False
+        #: The metrics facade spans feed (``.enabled`` + ``.registry``,
+        #: read at observation time so registry swaps apply at once); it
+        #: calls :meth:`sync` whenever its ``enabled`` flag changes.
+        self.metrics = None
         self._path: str | None = None
         self._file = None
         self._file_pid = 0
@@ -135,6 +160,7 @@ class SpanTracer:
             self._path = path
             self._seq = 0
             self.enabled = True
+        self.sync()
 
     def deactivate(self) -> None:
         """Stop tracing and release the log handle."""
@@ -142,6 +168,12 @@ class SpanTracer:
             self.enabled = False
             self._path = None
             self._close_locked()
+        self.sync()
+
+    def sync(self) -> None:
+        """Recompute :attr:`timing` from the log and metrics flags."""
+        metrics = self.metrics
+        self.timing = self.enabled or (metrics is not None and metrics.enabled)
 
     @property
     def path(self) -> str | None:
@@ -198,33 +230,36 @@ class SpanTracer:
         neither, this span roots a fresh trace. The ambient context is
         set to this span for the duration, so nested spans (including
         ones opened by library code that never saw *ctx*) chain onto it.
+        Without the span log the block is still timed into the metrics
+        histogram *name* (when :attr:`timing`), but gets no ids.
         """
         if not self.enabled:
-            yield Span(name, "", "", None, attrs)
+            span = Span(name, "", "", None, attrs)
+            try:
+                yield span
+            finally:
+                if self.timing:
+                    span.end = time.time()
+                    self._observe(name, span.start, span.end)
             return
-        parent = ctx if ctx is not None else _CURRENT.get()
-        span_id = self._next_id()
-        if parent:
-            trace_id = parent["trace"]
-            parent_id = parent["span"]
-        else:
-            trace_id = f"t{span_id}"
-            parent_id = None
-        span = Span(name, trace_id, span_id, parent_id, attrs)
+        span = self._open(name, ctx, attrs)
         token = _CURRENT.set(span.context())
         try:
             yield span
         finally:
+            span.end = time.time()
             _CURRENT.reset(token)
-            self._write(
-                span.name,
-                span.trace_id,
-                span.span_id,
-                span.parent_id,
-                span.start,
-                time.time(),
-                span.attrs,
-            )
+            self._record(span)
+
+    def _open(self, name: str, ctx: dict | None, attrs: dict) -> Span:
+        """A logged span with fresh ids, parented on *ctx* or the ambient."""
+        parent = ctx if ctx is not None else _CURRENT.get()
+        span_id = self._next_id()
+        if parent:
+            trace_id, parent_id = parent["trace"], parent["span"]
+        else:
+            trace_id, parent_id = f"t{span_id}", None
+        return Span(name, trace_id, span_id, parent_id, attrs)
 
     def begin(
         self, name: str, *, ctx: dict | None = None, **attrs: object
@@ -236,31 +271,20 @@ class SpanTracer:
         when the scheduler marks the job terminal. The record is only
         written at :meth:`finish`, but the ids are fixed here, so child
         spans emitted in between (and in worker processes) already carry
-        valid parent links. Returns ``None`` when tracing is disabled.
+        valid parent links. Returns ``None`` when tracing is disabled:
+        these roots belong to the span log only, and their time is
+        already split into the histograms of their children.
         """
         if not self.enabled:
             return None
-        parent = ctx if ctx is not None else _CURRENT.get()
-        span_id = self._next_id()
-        if parent:
-            trace_id, parent_id = parent["trace"], parent["span"]
-        else:
-            trace_id, parent_id = f"t{span_id}", None
-        return Span(name, trace_id, span_id, parent_id, attrs)
+        return self._open(name, ctx, attrs)
 
     def finish(self, span: Span | None, end: float | None = None) -> None:
         """Write a span opened with :meth:`begin` (no-op on ``None``)."""
         if span is None or not self.enabled:
             return
-        self._write(
-            span.name,
-            span.trace_id,
-            span.span_id,
-            span.parent_id,
-            span.start,
-            end if end is not None else time.time(),
-            span.attrs,
-        )
+        span.end = end if end is not None else time.time()
+        self._record(span)
 
     def emit_span(
         self,
@@ -275,38 +299,37 @@ class SpanTracer:
 
         Used for retroactive regions like queue wait, where the start
         was stamped at admission and the end is only known when the
-        scheduler picks the job up.
+        scheduler picks the job up, and for per-chunk regions where a
+        context manager would cost more than the work it times.
         """
         if not self.enabled:
+            if self.timing:
+                self._observe(name, start, end)
             return
-        parent = ctx if ctx is not None else _CURRENT.get()
-        span_id = self._next_id()
-        if parent:
-            trace_id, parent_id = parent["trace"], parent["span"]
-        else:
-            trace_id, parent_id = f"t{span_id}", None
-        self._write(name, trace_id, span_id, parent_id, start, end, attrs)
+        span = self._open(name, ctx, attrs)
+        span.start, span.end = start, end
+        self._record(span)
 
-    def _write(
-        self,
-        name: str,
-        trace_id: str,
-        span_id: str,
-        parent_id: str | None,
-        start: float,
-        end: float,
-        attrs: dict,
-    ) -> None:
+    def _observe(self, name: str, start: float, end: float) -> None:
+        """Time the region into the metrics histogram of its name."""
+        metrics = self.metrics
+        if metrics is not None and metrics.enabled:
+            # Epoch clocks can step backwards; a region never takes < 0 s.
+            metrics.registry.histogram(name).observe(max(0.0, end - start))
+
+    def _record(self, span: Span) -> None:
+        """Observe the span's histogram, then append it to the log."""
+        self._observe(span.name, span.start, span.end)
         record = {
             "schema": SPAN_SCHEMA,
-            "trace": trace_id,
-            "span": span_id,
-            "parent": parent_id,
-            "name": name,
-            "start": start,
-            "end": end,
+            "trace": span.trace_id,
+            "span": span.span_id,
+            "parent": span.parent_id,
+            "name": span.name,
+            "start": span.start,
+            "end": span.end,
             "pid": os.getpid(),
-            "attrs": {key: attrs[key] for key in sorted(attrs)},
+            "attrs": {key: span.attrs[key] for key in sorted(span.attrs)},
         }
         line = json.dumps(record, sort_keys=True, default=str) + "\n"
         with self._lock:

@@ -155,9 +155,7 @@ class Scheduler:
             record.started_at = batch_start
             if record.admitted_at is not None:
                 record.queue_wait_s = batch_start - record.admitted_at
-                if OBS.enabled:
-                    OBS.hist("serve.queue.wait", record.queue_wait_s)
-                if TRACER.enabled and record.trace_ctx is not None:
+                if TRACER.timing:
                     # Retroactive: the wait was only known once the batch
                     # picked the job up, but the span's interval is real.
                     TRACER.emit_span(
@@ -233,7 +231,7 @@ class Scheduler:
                     OBS.hist("serve.job.service", per_job)
             self.drained_batches += 1
             if OBS.enabled:
-                OBS.observe("serve.batch.time", seconds)
+                OBS.hist("serve.batch.time", seconds)
 
     # -- failure containment -------------------------------------------------------
 

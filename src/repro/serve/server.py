@@ -315,18 +315,14 @@ class SimulationServer:
         the previous facade state afterwards — embedding a server in a
         test leaves global state exactly as found.
         """
-        prev = (OBS.registry, OBS.sink, OBS.enabled, OBS._seq)
         sink = obs.StderrSink() if self.config.verbose else None
-        obs.configure(sink=sink)
         tracing_before = TRACER.enabled
         if self.config.trace_spans is not None:
             TRACER.configure(self.config.trace_spans)
         try:
-            return asyncio.run(self._main(install_signals))
+            with obs.instrumented(sink=sink):
+                return asyncio.run(self._main(install_signals))
         finally:
-            if OBS.sink is not prev[1]:
-                OBS.sink.close()
-            OBS.registry, OBS.sink, OBS.enabled, OBS._seq = prev
             if self.config.trace_spans is not None and not tracing_before:
                 TRACER.deactivate()
 
@@ -620,7 +616,7 @@ class SimulationServer:
                 # the first batch runs; histograms created on demand).
                 payload["latency"] = {
                     "queue_wait": OBS.registry.histogram(
-                        "serve.queue.wait"
+                        "serve.queue"
                     ).snapshot(),
                     "service": OBS.registry.histogram(
                         "serve.job.service"

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.obs.spans import TRACER
 from repro.trace.model import MemTrace, WORD_BYTES
 from repro.trace.synth import StreamPair
 
@@ -88,8 +89,17 @@ class SyntheticWorkload(ABC):
 
         The trace is deterministic for a given ``(scale, seed)`` pair. When
         *max_refs* is given the trace is truncated to that many references
-        (useful to bound simulation time in tests).
+        (useful to bound simulation time in tests). Timed as one
+        ``trace.generate`` span.
         """
+        if not TRACER.timing:
+            return self._generate(seed, max_refs)
+        with TRACER.span("trace.generate", workload=self.name) as span:
+            trace = self._generate(seed, max_refs)
+            span.attrs["refs"] = len(trace)
+        return trace
+
+    def _generate(self, seed: int, max_refs: int | None) -> MemTrace:
         rng = np.random.default_rng(seed)
         addresses, writes = self.stream(rng)
         if addresses.size == 0:

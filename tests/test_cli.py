@@ -230,17 +230,18 @@ class TestProfileCommand:
         assert "refs/sec" in text
         assert "Table 2" in text  # the experiment's own output still shows
         data = json.loads(path.read_text())
-        assert data["schema"] == "repro.profile/v2"
+        assert data["schema"] == "repro.profile/v3"
         assert data["experiment"] == "table2"
         assert data["references"] > 0
-        # v2: per-stage registry timers mean "timers" is never empty.
-        assert data["timers"]["profile.stage.run"]["count"] == 1
+        # v3: every stage is a span feeding its own histogram; no timers.
+        assert "timers" not in data
+        assert data["histograms"]["profile.stage.run"]["count"] == 1
 
     def test_profile_with_trace_events(self, tmp_path):
         profile_path = tmp_path / "profile.json"
         events_path = tmp_path / "events.jsonl"
         run_cli(
-            "profile", "figure1",
+            "profile", "table2", "--max-refs", "5000",
             "--output", str(profile_path),
             "--trace-events", str(events_path),
         )
@@ -248,8 +249,11 @@ class TestProfileCommand:
             json.loads(line)
             for line in events_path.read_text().strip().splitlines()
         ]
-        assert any(e["kind"] == "stage.begin" for e in events)
-        assert profile_path.exists()
+        assert any(e["kind"] == "mtc.simulate" for e in events)
+        # Stages are spans now: no begin/end event pairs in the stream.
+        assert not any(e["kind"].endswith((".begin", ".end")) for e in events)
+        profile = json.loads(profile_path.read_text())
+        assert profile["histograms"]["profile.stage.render"]["count"] == 1
 
 
 class TestResilienceFlags:

@@ -70,8 +70,8 @@ class TestRunTasks:
     def test_worker_time_observed(self):
         with instrumented():
             run_tasks([Task(fn=square, args=(3,))])
-            timers = OBS.registry.snapshot()["timers"]
-        assert timers["exec.worker.time"]["count"] == 1
+            histograms = OBS.registry.snapshot()["histograms"]
+        assert histograms["exec.task"]["count"] == 1
 
 
 class TestSpanPropagation:

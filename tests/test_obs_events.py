@@ -13,6 +13,7 @@ from repro.obs import (
     MultiSink,
     NullSink,
     StderrSink,
+    TRACER,
     instrumented,
 )
 from repro.workloads import get_workload
@@ -87,13 +88,17 @@ class TestInstrumentationFacade:
         inst.emit("kind", a=1)
         assert inst._seq == 0  # sequence untouched: nothing was built
 
-    def test_span_emits_begin_end_pair(self):
+    def test_span_feeds_its_histogram_and_emits_no_events(self):
+        # Events stay deterministic: a timed region is a span whose
+        # duration lands in the histogram of its name, never an event.
         sink = MemorySink()
-        inst = Instrumentation(sink=sink, enabled=True)
-        with inst.span("stage", stage="run"):
-            inst.emit("inner")
-        kinds = [e["kind"] for e in sink.events]
-        assert kinds == ["stage.begin", "inner", "stage.end"]
+        with instrumented(sink=sink):
+            with TRACER.span("profile.stage.run"):
+                OBS.emit("inner")
+            histograms = OBS.registry.snapshot()["histograms"]
+        assert [e["kind"] for e in sink.events] == ["inner"]
+        assert histograms["profile.stage.run"]["count"] == 1
+        assert not TRACER.timing
 
     def test_global_facade_starts_disabled(self):
         assert OBS.enabled is False

@@ -27,7 +27,7 @@ def _sample_profile():
             StageTiming("render", 0.1),
         ],
         counters={"mtc.accesses": 9000, "cache.accesses": 1000},
-        timers={"sweep.measure": {"count": 3, "total_s": 1.5}},
+        histograms={"sweep.cell": {"count": 3, "total_s": 1.5}},
     )
 
 
@@ -77,10 +77,13 @@ class TestProfileExperiment:
 
     def test_events_flow_to_given_sink(self):
         sink = MemorySink()
-        profile_experiment("figure1", sink=sink)
-        kinds = [event["kind"] for event in sink.events]
-        assert kinds[0] == "stage.begin"
-        assert kinds[-1] == "stage.end"
+        profile, _ = profile_experiment("table2", max_refs=5000, sink=sink)
+        kinds = {event["kind"] for event in sink.events}
+        assert "mtc.simulate" in kinds
+        # Stages are spans: timed into histograms, never begin/end events.
+        assert not any(kind.endswith((".begin", ".end")) for kind in kinds)
+        for stage in ("import", "run", "render"):
+            assert profile.histograms[f"profile.stage.{stage}"]["count"] == 1
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -95,6 +98,16 @@ class TestRenderAndWrite:
         assert "refs/sec" in text
         assert "top counters:" in text
         assert "mtc.accesses" in text
+
+    def test_worker_line_reads_the_exec_task_histogram(self):
+        profile = _sample_profile()
+        profile.gauges = {"exec.jobs": 2}
+        profile.histograms = {"exec.task": {"count": 4, "total_s": 1.8}}
+        text = render_profile(profile)
+        assert "workers: 2 (1.800s busy, 50.0% utilization)" in text
+
+    def test_serial_profile_has_no_worker_line(self):
+        assert "workers:" not in render_profile(_sample_profile())
 
     def test_write_profile_round_trips(self, tmp_path):
         path = tmp_path / "BENCH_profile.json"

@@ -1,38 +1,12 @@
-"""Tests for the metrics registry (counters, gauges, timers, snapshots)."""
+"""Tests for the metrics registry (counters, gauges, histograms, snapshots)."""
 
 import threading
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    Timer,
-    percentile,
-)
-
-
-class TestPercentile:
-    def test_median_of_even_count(self):
-        assert percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.0
-
-    def test_p0_is_min_p100_is_max(self):
-        samples = [5.0, 1.0, 3.0]
-        assert percentile(samples, 0) == 1.0
-        assert percentile(samples, 100) == 5.0
-
-    def test_single_sample(self):
-        assert percentile([7.0], 99) == 7.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            percentile([], 50)
-
-    def test_out_of_range_q_rejected(self):
-        with pytest.raises(ConfigurationError):
-            percentile([1.0], 101)
+from repro.obs.hist import DEFAULT_LATENCY_BUCKETS
+from repro.obs.registry import Counter, Gauge, MetricsRegistry
 
 
 class TestCounter:
@@ -52,41 +26,11 @@ class TestGauge:
         assert gauge.value == 1.5
 
 
-class TestTimer:
-    def test_observe_and_summary(self):
-        timer = Timer("t")
-        for seconds in (0.1, 0.2, 0.3, 0.4):
-            timer.observe(seconds)
-        summary = timer.summary()
-        assert summary["count"] == 4
-        assert summary["total_s"] == pytest.approx(1.0)
-        assert summary["mean_s"] == pytest.approx(0.25)
-        # Interpolated (linear) percentiles: the p50 of {.1,.2,.3,.4}
-        # is the midpoint, not the nearest-rank sample.
-        assert summary["p50_s"] == pytest.approx(0.25)
-        assert summary["p95_s"] == pytest.approx(0.385)
-        assert summary["max_s"] == pytest.approx(0.4)
-
-    def test_empty_summary(self):
-        assert Timer("t").summary() == {"count": 0, "total_s": 0.0}
-
-    def test_context_manager_records_a_sample(self):
-        timer = Timer("t")
-        with timer.time():
-            pass
-        assert timer.count == 1
-        assert timer.samples[0] >= 0.0
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Timer("t").observe(-0.1)
-
-
 class TestMetricsRegistry:
     def test_get_or_create_returns_same_instance(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
-        assert registry.timer("t") is registry.timer("t")
+        assert registry.histogram("h") is registry.histogram("h")
         assert registry.gauge("g") is registry.gauge("g")
 
     def test_kind_conflicts_rejected(self):
@@ -95,19 +39,20 @@ class TestMetricsRegistry:
         with pytest.raises(ConfigurationError):
             registry.gauge("x")
         with pytest.raises(ConfigurationError):
-            registry.timer("x")
+            registry.histogram("x")
 
     def test_snapshot_structure_and_sorting(self):
         registry = MetricsRegistry()
         registry.counter("b").inc(2)
         registry.counter("a").inc(1)
         registry.gauge("g").set(4.0)
-        registry.timer("t").observe(0.5)
+        registry.histogram("t").observe(0.5)
         snapshot = registry.snapshot()
+        assert list(snapshot) == ["counters", "gauges", "histograms"]
         assert list(snapshot["counters"]) == ["a", "b"]
         assert snapshot["counters"] == {"a": 1, "b": 2}
         assert snapshot["gauges"] == {"g": 4.0}
-        assert snapshot["timers"]["t"]["count"] == 1
+        assert snapshot["histograms"]["t"]["count"] == 1
 
     def test_counter_values_is_just_the_counters(self):
         registry = MetricsRegistry()
@@ -122,7 +67,6 @@ class TestMetricsRegistry:
         assert registry.snapshot() == {
             "counters": {},
             "gauges": {},
-            "timers": {},
             "histograms": {},
         }
 
@@ -132,7 +76,7 @@ class TestMetricsRegistry:
         with pytest.raises(ConfigurationError):
             registry.counter("h")
         with pytest.raises(ConfigurationError):
-            registry.timer("h")
+            registry.gauge("h")
 
     def test_histogram_snapshot_appears(self):
         registry = MetricsRegistry()
@@ -141,28 +85,67 @@ class TestMetricsRegistry:
         assert snap["histograms"]["lat"]["count"] == 1
 
 
+class TestDeltaMerge:
+    def test_merge_adds_counters_and_histogram_samples(self):
+        worker = MetricsRegistry()
+        worker.counter("n").inc(3)
+        worker.histogram("h").observe(0.002)
+        worker.histogram("h").observe(0.3)
+        parent = MetricsRegistry()
+        parent.counter("n").inc(1)
+        parent.histogram("h").observe(0.05)
+        parent.merge(worker.delta())
+        assert parent.counter("n").value == 4
+        hist = parent.histogram("h")
+        assert hist.count == 3
+        assert hist.total == pytest.approx(0.352)
+        assert (hist.min, hist.max) == (0.002, 0.3)
+        assert sum(hist.counts) == 3
+        assert len(hist.counts) == len(DEFAULT_LATENCY_BUCKETS) + 1
+
+    def test_delta_is_plain_picklable_data(self):
+        import pickle
+
+        registry = MetricsRegistry()
+        registry.counter("n").inc()
+        registry.histogram("h").observe(0.01)
+        delta = pickle.loads(pickle.dumps(registry.delta()))
+        fresh = MetricsRegistry()
+        fresh.merge(delta)
+        assert fresh.snapshot() == registry.snapshot()
+
+    def test_merge_rejects_mismatched_buckets(self):
+        source = MetricsRegistry()
+        source.histogram("h", bounds=(0.1, 1.0)).observe(0.5)
+        target = MetricsRegistry()
+        target.histogram("h").observe(0.5)
+        with pytest.raises(ConfigurationError):
+            target.merge(source.delta())
+
+
 class TestExposition:
     def test_groups_and_sorted_names(self):
         registry = MetricsRegistry()
         registry.counter("b.second").inc(2)
         registry.counter("a.first").inc(1)
         registry.gauge("g").set(1.5)
-        registry.timer("t").observe(0.5)
+        registry.histogram("t").observe(0.5)
         registry.histogram("h").observe(0.003)
         text = registry.exposition()
         lines = text.splitlines()
         assert lines[0] == "# counters"
         assert lines[1] == "a.first 1"
         assert lines[2] == "b.second 2"
-        assert "# gauges" in lines and "# timers" in lines
-        assert "# histograms" in lines
-        # count leads each summary block; stats follow alphabetically.
-        timer_stats = [
-            line for line in lines if line.startswith("t.")
+        assert [line for line in lines if line.startswith("#")] == [
+            "# counters", "# gauges", "# histograms",
         ]
-        assert timer_stats[0] == "t.count 1"
-        hist_stats = [line for line in lines if line.startswith("h.")]
-        assert hist_stats[0] == "h.count 1"
+        # count leads each summary block; stats follow alphabetically.
+        for prefix in ("t.", "h."):
+            stats = [line for line in lines if line.startswith(prefix)]
+            assert stats[0] == f"{prefix}count 1"
+            assert [line.split()[0] for line in stats[1:]] == sorted(
+                line.split()[0] for line in stats[1:]
+            )
 
     def test_deterministic_output_for_same_state(self):
         def build():

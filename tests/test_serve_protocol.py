@@ -162,7 +162,7 @@ class TestExposition:
         registry.counter("serve.requests").inc(3)
         registry.counter("exec.tasks").inc(1)
         registry.gauge("serve.queue.depth").set(2)
-        registry.timer("serve.batch.time").observe(0.5)
+        registry.histogram("serve.batch.time").observe(0.5)
         text = registry.exposition()
         lines = text.splitlines()
         assert lines[0] == "# counters"
@@ -170,7 +170,10 @@ class TestExposition:
         assert lines[2] == "serve.requests 3"
         assert "# gauges" in lines
         assert "serve.queue.depth 2" in lines
-        assert lines[lines.index("# timers") + 1] == "serve.batch.time.count 1"
+        assert "# timers" not in lines
+        assert (
+            lines[lines.index("# histograms") + 1] == "serve.batch.time.count 1"
+        )
         # Every non-comment line is "<name> <value>" — parseable by rpartition.
         for line in lines:
             if line.startswith("#"):

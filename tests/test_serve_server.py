@@ -549,9 +549,22 @@ class TestSpanTracing:
             text = client.metrics_text()
             metrics = client.metrics()
         assert "# histograms" in text
-        assert metrics["serve.queue.wait.count"] == 1
+        assert metrics["serve.queue.count"] == 1
         assert metrics["serve.job.service.count"] == 1
         assert metrics["serve.job.service.p99_s"] > 0.0
+
+    def test_served_job_times_trace_generation_once(self):
+        # Spans feed /metrics without a span log: one simulate job
+        # generates one trace, so trace.generate holds one observation.
+        with running_server() as (_, client):
+            client.run(
+                "simulate",
+                {"workload": "Espresso", "size": "4KB", "max_refs": 5000},
+                timeout=60,
+            )
+            text = client.metrics_text()
+        assert "trace.generate.count 1" in text.splitlines()
+        assert "exec.task.count 1" in text.splitlines()
 
     def test_spans_cli_renders_job_tree_and_critical_path(self, tmp_path):
         log = tmp_path / "spans.jsonl"
